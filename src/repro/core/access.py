@@ -26,7 +26,7 @@ Two layers live here:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..engine.database import Database
 from .interval import validate_interval
@@ -46,7 +46,10 @@ class IntervalStore(ABC):
     batching, joins, predicate queries) in terms of the abstract core,
     so a minimal backend is immediately a complete one; backends with a
     cheaper native evaluation override the defaults without changing
-    the contract.
+    the contract.  Predicate queries and predicate joins share one plan
+    (candidate range, record batches, refinement), for which a backend
+    supplies two primitives: :meth:`_candidate_extent` and
+    :meth:`_record_batches`.
     """
 
     #: Short name used in benchmark output rows.
@@ -179,8 +182,7 @@ class IntervalStore(ABC):
         return self.intersection(point, point)
 
     def query(
-        self, lower, upper: Optional[int] = None, *legacy,
-        predicate="intersects",
+        self, lower: int, upper: Optional[int] = None, *, predicate="intersects"
     ) -> list[int]:
         """Ids of stored intervals standing in ``predicate`` to the query.
 
@@ -193,44 +195,10 @@ class IntervalStore(ABC):
         that lie *before* ``[l, u]``; omitting ``upper`` makes it a
         point query.  ``intersects`` and ``stab`` run every backend's
         native intersection machinery directly; relational predicates
-        and parameterized families go through :meth:`_query_relation`,
-        the per-backend compilation hook.
-
-        The pre-v8 predicate-first form ``query(predicate, lower[,
-        upper])`` still works behind a :class:`DeprecationWarning` shim
-        (detected by the predicate landing in the ``lower`` slot), so
-        every caller -- including the service layer, which dispatches
-        generically -- should spell the bounds first and the predicate
-        as ``predicate=``.
+        and parameterized families go through :meth:`_query_relation`.
         """
-        from .predicates import IntervalPredicate, compile_query
+        from .predicates import compile_query
 
-        if isinstance(lower, (str, IntervalPredicate)):
-            # Legacy query(predicate, lower[, upper]): shift arguments.
-            if len(legacy) > 1:
-                raise TypeError(
-                    "query() takes at most a predicate and two bounds")
-            if predicate != "intersects":
-                raise TypeError(
-                    "query() got the predicate both positionally and as "
-                    "predicate=")
-            import warnings
-
-            warnings.warn(
-                "query(predicate, lower, upper) is deprecated; use "
-                "query(lower, upper, predicate=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            predicate, lower, upper = (
-                lower, upper, legacy[0] if legacy else None)
-            if lower is None:
-                raise TypeError("query() is missing the query bounds")
-        elif legacy:
-            raise TypeError(
-                f"query() takes two positional bounds, got "
-                f"{2 + len(legacy)} positional arguments; pass the "
-                f"predicate as predicate=")
         pred = compile_query(predicate)
         if upper is None:
             upper = lower
@@ -241,19 +209,79 @@ class IntervalStore(ABC):
         return self._query_relation(pred, lower, upper)
 
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
-        """Compile one Allen-relation predicate to this backend's plan.
+        """The Section 4.5 plan: one candidate range, then refinement.
 
-        Subclasses override with their native evaluation (scan-plan
-        transform on the simulated engine, WHERE-clause rewrite on
-        sqlite); this default refines :meth:`stored_records` by the pure
-        predicate, which is always correct and never fast.
+        The predicate maps the query to an intersection range that
+        provably contains every match (:meth:`_extent_for` supplies the
+        store's extent to ``before``/``after``); the records of that
+        range arrive through :meth:`_record_batches` and are refined
+        with the direct formula ``pred.holds``.  Backends with a
+        different algorithm (the RI-tree's path scans, the sqlite
+        one-statement rewrite, the router's fan-out) override this.
         """
+        validate_interval(lower, upper)
+        floor, ceiling = self._extent_for(pred)
+        candidate = pred.candidates(lower, upper, floor, ceiling)
+        if candidate is None:
+            return []
+        holds = pred.holds
+        return [
+            interval_id
+            for batch in self._record_batches(*candidate)
+            for s, e, interval_id in batch
+            if holds(s, e, lower, upper)
+        ]
+
+    # ------------------------------------------------------------------
+    # candidate scans (the two primitives of the predicate plan)
+    # ------------------------------------------------------------------
+    def _candidate_extent(self) -> tuple[Optional[int], Optional[int]]:
+        """``(floor, ceiling)``: smallest lower and largest upper bound.
+
+        Consulted only by predicates whose candidate range reaches to
+        the edge of the data (``before``/``after``); ``(None, None)``
+        on an empty store.  Backends return a conservative envelope
+        from their own bookkeeping; this default takes the min and max
+        over :meth:`stored_records`, which is sound because the default
+        :meth:`_record_batches` does not prune by the range at all.
+        """
+        records = self._enumerated_records()
+        if not records:
+            return None, None
+        return (
+            min(lower for lower, _, _ in records),
+            max(upper for _, upper, _ in records),
+        )
+
+    def _record_batches(
+        self, lower: int, upper: int
+    ) -> Iterator[list[IntervalRecord]]:
+        """Lists of ``(lower, upper, id)`` covering ``[lower, upper]``.
+
+        Every stored record intersecting the range must appear exactly
+        once, with *effective* bounds (now-relative rows carry the
+        clock, infinite rows the ``UPPER_INF`` sentinel); records
+        outside it may appear too, since callers refine with the
+        predicate.  Backends yield their index's native batches (leaf
+        slices on the RI-tree, one partition walk on HINT); the
+        default yields :meth:`stored_records` as one batch.
+        """
+        yield self._enumerated_records()
+
+    def _enumerated_records(self) -> list[IntervalRecord]:
         records = self.stored_records()
         if records is None:
             raise NotImplementedError(
-                f"{type(self).__name__} can neither compile predicate "
-                f"{pred.name!r} nor enumerate its records")
-        return pred.filter(records, lower, upper)
+                f"{type(self).__name__} can neither scan candidate ranges "
+                f"nor enumerate its records"
+            )
+        return records
+
+    def _extent_for(self, pred) -> tuple[Optional[int], Optional[int]]:
+        """The extent ``pred.candidates`` needs: resolved only if it does."""
+        if pred.needs_extent:
+            return self._candidate_extent()
+        return None, None
 
     # ------------------------------------------------------------------
     # planning (the Section 5 cost model, where a backend provides one)
@@ -285,7 +313,7 @@ class IntervalStore(ABC):
     # joins (probe side of the index-nested-loop interval join)
     # ------------------------------------------------------------------
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """``(probe_id, stored_id)`` pairs standing in the join predicate.
 
@@ -293,25 +321,21 @@ class IntervalStore(ABC):
         against this store's (inner) relation, with the *probe* as the
         predicate subject (``predicate="before"`` pairs probes with the
         stored intervals they lie before; the default is the overlap
-        join).  The default loops :meth:`intersection`; backends with a
-        batched pipeline override it -- the RI-tree emits pairs straight
-        from leaf slices, the sqlite backend evaluates the whole probe
-        relation in one set-at-a-time SQL statement.  Pairs are
-        duplicate-free because each probe's result is.
+        join).  The overlap join loops :meth:`intersection`; backends
+        with a batched pipeline override it -- the RI-tree emits pairs
+        straight from leaf slices, the sqlite backend evaluates the
+        whole probe relation in one set-at-a-time SQL statement.  Pairs
+        are duplicate-free because each probe's result is.
 
-        Predicate probes ask the *stored-subject* question, so the loop
-        runs :meth:`query` with the predicate's :attr:`~repro.core.
-        predicates.IntervalPredicate.inverse`; stores that can enumerate
-        their records refine with the direct formula instead, which also
-        pins the boundary conventions of degenerate (point) intervals to
-        the nested-loop oracle's.
+        Predicate probes ask the *stored-subject* question, so each
+        probe scans the candidate range of the predicate's
+        :attr:`~repro.core.predicates.IntervalPredicate.inverse`
+        (:meth:`_join_candidates`) and refines with the direct formula,
+        which pins the boundary conventions of degenerate (point)
+        intervals to the nested-loop oracle's.
         """
-        from .predicates import (
-            resolve_join_predicate,
-            shim_positional_predicate,
-        )
+        from .predicates import resolve_join_predicate
 
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         pairs: list[tuple[int, int]] = []
         if pred is None:
@@ -321,29 +345,18 @@ class IntervalStore(ABC):
                     for interval_id in self.intersection(lower, upper)
                 )
             return pairs
-        records = self.stored_records()
-        if records is not None:
-            holds = pred.holds
-            for lower, upper, probe_id in probes:
-                validate_interval(lower, upper)
-                pairs.extend(
-                    (probe_id, interval_id)
-                    for s, e, interval_id in records
-                    if holds(lower, upper, s, e)
-                )
-            return pairs
-        inverse = pred.inverse
-        for lower, upper, probe_id in probes:
+        holds = pred.holds
+        for lower, upper, probe_id, batch in self._join_candidates(pred, probes):
             pairs.extend(
-                (probe_id, interval_id)
-                for interval_id in self.query(lower, upper,
-                                              predicate=inverse)
+                [
+                    (probe_id, interval_id)
+                    for s, e, interval_id in batch
+                    if holds(lower, upper, s, e)
+                ]
             )
         return pairs
 
-    def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
-    ) -> int:
+    def join_count(self, probes: Sequence[IntervalRecord], *, predicate=None) -> int:
         """Size of :meth:`join_pairs` without materialising the pair list.
 
         The default (intersection) join runs the same per-probe
@@ -351,21 +364,43 @@ class IntervalStore(ABC):
         is identical to :meth:`join_pairs` while batched backends skip
         building id lists -- the join analogue of the harness's
         count-only query path.  Predicate joins count through the same
-        evaluation as :meth:`join_pairs`.
+        candidate scans as :meth:`join_pairs`.
         """
-        from .predicates import (
-            resolve_join_predicate,
-            shim_positional_predicate,
-        )
+        from .predicates import resolve_join_predicate
 
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
-        if pred is not None:
-            return len(self.join_pairs(probes, predicate=pred))
-        return sum(
-            self.intersection_count(lower, upper)
-            for lower, upper, _probe_id in probes
-        )
+        if pred is None:
+            return sum(
+                self.intersection_count(lower, upper)
+                for lower, upper, _probe_id in probes
+            )
+        holds = pred.holds
+        total = 0
+        for lower, upper, _probe_id, batch in self._join_candidates(pred, probes):
+            total += sum(1 for s, e, _ in batch if holds(lower, upper, s, e))
+        return total
+
+    def _join_candidates(
+        self, pred, probes: Sequence[IntervalRecord]
+    ) -> Iterator[tuple[int, int, int, list[IntervalRecord]]]:
+        """Per probe, the record batches of the inverse's candidate range.
+
+        Yields ``(lower, upper, probe_id, batch)``.  The candidate range
+        provably contains every stored interval standing in the inverse
+        relation to the probe -- and therefore every stored interval the
+        probe stands in ``pred`` to; the store's extent is resolved once
+        for the whole call.
+        """
+        inverse = pred.inverse
+        candidates = inverse.candidates
+        floor, ceiling = self._extent_for(inverse)
+        for lower, upper, probe_id in probes:
+            validate_interval(lower, upper)
+            window = candidates(lower, upper, floor, ceiling)
+            if window is None:
+                continue
+            for batch in self._record_batches(*window):
+                yield lower, upper, probe_id, batch
 
     # ------------------------------------------------------------------
     # verification

@@ -435,7 +435,7 @@ def expected_predicate_pairs(
     if not outer or inner.count == 0:
         return 0.0
     inverse = pred.inverse
-    estimator = getattr(inverse, "estimator", None)
+    estimator = inverse.estimator
     step = max(1, len(outer) // sample)
     chosen = outer[::step]
     if estimator is not None:
@@ -1118,7 +1118,7 @@ class RITreeCostModel:
             return self.estimate(lower, upper)
         if pred.name == "stab":
             return self.estimate(lower, lower)
-        estimator = getattr(pred, "estimator", None)
+        estimator = pred.estimator
         if estimator is not None:
             # A compiled family prices its own parameter selectivity
             # (range_duration: intersection mass times the duration

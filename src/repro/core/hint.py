@@ -43,7 +43,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import replace
 from itertools import repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .access import IntervalRecord, IntervalStore
 from .backbone import VirtualBackbone
@@ -55,11 +55,8 @@ from .costmodel import (
     memory_resident_geometry,
 )
 from .interval import validate_interval
-from .predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
-from .temporal import UPPER_INF, UPPER_NOW, resolve_clock_argument
+from .predicates import resolve_join_predicate
+from .temporal import UPPER_INF, UPPER_NOW
 from .verify import VerificationReport
 
 #: Default partitioning depth: ``levels = m`` gives ``2**m`` cells at the
@@ -427,10 +424,8 @@ class HintStore(IntervalStore):
         """Current clock value used for now-relative semantics."""
         return self._now
 
-    def advance_to(self, now: Optional[int] = None, *,
-                   timestamp: Optional[int] = None) -> None:
+    def advance_to(self, now: int) -> None:
         """Move the clock forward; time never runs backwards."""
-        now = resolve_clock_argument(now, timestamp)
         if now < self._now:
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
@@ -629,20 +624,19 @@ class HintStore(IntervalStore):
         return total
 
     # ------------------------------------------------------------------
-    # predicate queries (inverse-candidate-range convention)
+    # candidate scans (the predicate plan's primitives)
     # ------------------------------------------------------------------
     def _candidate_extent(self):
         """Conservative ``(floor, ceiling)`` over stored bounds, for the
         unbounded sides of ``before``/``after`` candidate ranges."""
-        if self._min_lower is None:
-            return None, None
         return self._min_lower, self._max_upper
 
-    def _candidate_records(self, lower: int, upper: int) -> list:
-        """``(lower, upper, id)`` triples intersecting ``[lower, upper]``,
-        with *effective* upper bounds for sentinel rows (``UPPER_INF``
-        stays symbolic; now-relative rows materialise the clock).  Same
-        walk as :meth:`_finite_ids`, carrying bounds for refinement."""
+    def _record_batches(self, lower: int, upper: int) -> Iterator[list]:
+        """One batch: the ``(lower, upper, id)`` triples intersecting
+        ``[lower, upper]``, with *effective* upper bounds for sentinel
+        rows (``UPPER_INF`` stays symbolic; now-relative rows materialise
+        the clock).  Same walk as :meth:`_finite_ids`, carrying bounds
+        for refinement."""
         out: list = []
         if self._offset is not None:
             pl = self._pos(lower)
@@ -690,74 +684,27 @@ class HintStore(IntervalStore):
             k = bisect_right(self._now_lowers, upper)
             out.extend(zip(self._now_lowers[:k], repeat(self._now),
                            self._now_ids[:k]))
-        return out
-
-    def _candidate_window(self, pred, lower: int, upper: int):
-        floor = ceiling = None
-        if (pred.name in ("before", "after")
-                or getattr(pred, "needs_extent", False)):
-            floor, ceiling = self._candidate_extent()
-            if floor is None:
-                return None
-        return pred.candidates(lower, upper, floor, ceiling)
-
-    def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
-        window = self._candidate_window(pred, lower, upper)
-        if window is None:
-            return []
-        holds = pred.holds
-        return [i for s, e, i in self._candidate_records(*window)
-                if holds(s, e, lower, upper)]
+        yield out
 
     # ------------------------------------------------------------------
     # joins
     # ------------------------------------------------------------------
-    def join_pairs(self, probes: Sequence[IntervalRecord], *legacy,
+    def join_pairs(self, probes: Sequence[IntervalRecord], *,
                    predicate=None) -> list[tuple[int, int]]:
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
-        pred = resolve_join_predicate(predicate)
+        if resolve_join_predicate(predicate) is not None:
+            return super().join_pairs(probes, predicate=predicate)
         pairs: list[tuple[int, int]] = []
-        if pred is None:
-            inf_lowers = self._inf_lowers
-            now_lowers = self._now_lowers
-            for lower, upper, probe_id in probes:
-                validate_interval(lower, upper)
-                ids: list[int] = []
-                self._finite_ids(lower, upper, ids)
-                ids.extend(self._inf_ids[:bisect_right(inf_lowers, upper)])
-                if lower <= self._now:
-                    ids.extend(
-                        self._now_ids[:bisect_right(now_lowers, upper)])
-                pairs.extend(zip(repeat(probe_id), ids))
-            return pairs
-        inverse = pred.inverse
-        holds = pred.holds
-        floor = ceiling = None
-        if inverse.name in ("before", "after"):
-            floor, ceiling = self._candidate_extent()
-            if floor is None:
-                return []
+        inf_lowers = self._inf_lowers
+        now_lowers = self._now_lowers
         for lower, upper, probe_id in probes:
             validate_interval(lower, upper)
-            window = inverse.candidates(lower, upper, floor, ceiling)
-            if window is None:
-                continue
-            pairs.extend([
-                (probe_id, interval_id)
-                for s, e, interval_id in self._candidate_records(*window)
-                if holds(lower, upper, s, e)])
+            ids: list[int] = []
+            self._finite_ids(lower, upper, ids)
+            ids.extend(self._inf_ids[:bisect_right(inf_lowers, upper)])
+            if lower <= self._now:
+                ids.extend(self._now_ids[:bisect_right(now_lowers, upper)])
+            pairs.extend(zip(repeat(probe_id), ids))
         return pairs
-
-    def join_count(self, probes: Sequence[IntervalRecord], *legacy,
-                   predicate=None) -> int:
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
-        pred = resolve_join_predicate(predicate)
-        if pred is None:
-            total = 0
-            for lower, upper, _ in probes:
-                total += self.intersection_count(lower, upper)
-            return total
-        return len(self.join_pairs(probes, predicate=predicate))
 
     # ------------------------------------------------------------------
     # enumeration

@@ -558,7 +558,7 @@ STRATEGY_NAMES: tuple[str, ...] = tuple(sorted(
 def interval_join(
     outer: Sequence[IntervalRecord],
     inner: Sequence[IntervalRecord],
-    *legacy,
+    *,
     strategy: str = "sweep",
     predicate=None,
 ) -> list[JoinPair]:
@@ -568,8 +568,7 @@ def interval_join(
     ``"index-nested-loop"``, ``"nested-loop"``, or ``"auto"`` (the
     cost-model planner picking between index and sweep); all return the
     same pair set, differing only in evaluation cost.  Both options are
-    keyword-only; the pre-v8 positional ``strategy`` still works behind
-    a :class:`DeprecationWarning` shim.
+    keyword-only.
 
     ``predicate`` generalises the join condition beyond overlap: any
     Allen relation (name or :class:`~repro.core.predicates.
@@ -580,24 +579,6 @@ def interval_join(
     strategies by probing the inverse relation's candidate ranges, and
     ``auto`` by planning index-vs-sweep per relation.
     """
-    if legacy:
-        if len(legacy) > 1:
-            raise TypeError(
-                "interval_join() takes two relations; pass strategy= "
-                "and predicate= as keywords")
-        if strategy != "sweep":
-            raise TypeError(
-                "interval_join() got the strategy both positionally "
-                "and as strategy=")
-        import warnings
-
-        warnings.warn(
-            "passing the strategy to interval_join() positionally is "
-            "deprecated; use interval_join(outer, inner, strategy=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        strategy = legacy[0]
     try:
         chosen = JOIN_STRATEGIES[strategy]
     except KeyError:

@@ -16,9 +16,11 @@ plan --
   statement: the transient tables are filled for the predicate's
   *candidate range* and the defining endpoint predicate is appended to
   both branches (:data:`IntervalPredicate.sql_refine`);
-* any other store falls back to refining its enumerated records with
-  the pure predicate (:meth:`IntervalPredicate.filter`), the oracle the
-  compiled plans are tested against.
+* every other plan is the one :class:`~repro.core.access.IntervalStore`
+  runs for all backends: scan the predicate's candidate range through
+  the backend's record batches, then refine with ``holds``.  The pure
+  :meth:`IntervalPredicate.filter` is the oracle the plans are tested
+  against.
 
 Semantics: a predicate relates a *subject* interval ``[s, e]`` (a stored
 record, or the outer record of a join pair) to a *reference* interval
@@ -50,12 +52,12 @@ band") being the canonical example -- are modelled as
 :meth:`~QueryFamily.compile` binds a typed parameter bundle and returns
 a :class:`CompiledQuery`.  A compiled query IS an
 :class:`IntervalPredicate` (same ``holds`` / ``candidates`` /
-``sql_refine`` surface, so every backend's existing compilation hook
-runs it unchanged) plus the bundle itself: ``family_name`` and
-``param_dict`` travel over the service wire, ``sql_binds`` merges the
-extra bind parameters into the rewritten Figure 9 statements, and the
-optional ``estimator`` hook lets the cost model price the family's
-selectivity beyond the two-bound histograms.  The fifteen classic
+``sql_refine`` / ``sql_binds`` / ``estimator`` surface, so every
+backend's plan runs it unchanged) plus the bundle itself:
+``family_name`` and ``param_dict`` travel over the service wire.  The
+range-duration family fills in ``sql_binds`` (merged into the rewritten
+Figure 9 statements) and ``estimator`` (pricing the duration band
+beyond the two-bound histograms).  The fifteen classic
 relations are re-expressed as zero-parameter families in
 :data:`FAMILIES`, so ``compile_query(name, params)`` is the single
 resolution entry point for names, predicate objects, and parameterized
@@ -64,7 +66,6 @@ families alike.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -93,6 +94,27 @@ class IntervalPredicate:
     are exact and no refinement is needed); ``inverse_name`` names the
     relation with subject and reference swapped (``None`` for ``stab``,
     which relates an interval to a point).
+
+    Every predicate also carries the fields the parameterized families
+    of :class:`CompiledQuery` fill in, so backends read them without
+    type checks:
+
+    ``binds``
+        extra named SQL bind parameters (e.g. ``:dmin``/``:dmax``)
+        merged into the rewritten one-statement plans; exposed as a
+        dict via :attr:`sql_binds`.  Empty for the classic relations.
+    ``estimator``
+        optional cost-model hook ``estimator(summary, lower, upper)``
+        returning the expected number of matching stored records for
+        reference ``[lower, upper]``; lets
+        :meth:`~repro.core.costmodel.RITreeCostModel.estimate_query`
+        price parameter selectivity (duration bands) that the
+        name-keyed histogram formulas cannot see.
+    ``needs_extent``
+        set when ``candidates`` consults the store's ``floor`` /
+        ``ceiling`` data-space extent (``before`` and ``after``);
+        :meth:`~repro.core.access.IntervalStore._extent_for` resolves
+        the extent only for these.
     """
 
     name: str
@@ -100,6 +122,9 @@ class IntervalPredicate:
     candidates: CandidateRange
     sql_refine: Optional[str]
     inverse_name: Optional[str] = None
+    binds: tuple[tuple[str, int], ...] = ()
+    estimator: Optional[Callable[..., float]] = None
+    needs_extent: bool = False
 
     @property
     def inverse(self) -> "IntervalPredicate":
@@ -113,6 +138,11 @@ class IntervalPredicate:
             raise ValueError(f"predicate {self.name!r} has no inverse")
         return PREDICATES[self.inverse_name]
 
+    @property
+    def sql_binds(self) -> dict[str, int]:
+        """Extra named bind parameters for the rewritten SQL plans."""
+        return dict(self.binds)
+
     def matches(self, subject: tuple[int, int], reference: tuple[int, int]
                 ) -> bool:
         """Does ``subject`` stand in this relation to ``reference``?"""
@@ -124,8 +154,7 @@ class IntervalPredicate:
                lower: int, upper: int) -> list[int]:
         """Refine ``(lower, upper, id)`` records by the pure predicate.
 
-        The brute-force evaluation every compiled plan must agree with;
-        also the generic fallback for stores without a native compile.
+        The brute-force evaluation every compiled plan must agree with.
         """
         validate_interval(lower, upper)
         holds = self.holds
@@ -138,52 +167,30 @@ class CompiledQuery(IntervalPredicate):
     """An :class:`IntervalPredicate` with a bound parameter bundle.
 
     Produced by :meth:`QueryFamily.compile`.  Because it *is* a
-    predicate, every backend's compilation hook (`_query_relation`,
-    the Figure 9 rewrite, the HINT partition filter, the router
-    fan-out) runs it without modification; the extra fields carry what
-    the classic fifteen relations never needed:
+    predicate, every backend's plan (the store's candidate-then-refine
+    plan, the Figure 9 rewrite, the router fan-out) runs it without
+    modification; the extra fields carry what the classic fifteen
+    relations never needed:
 
     ``family_name``/``params``
         the wire-format identity -- ``compile_query(family_name,
         param_dict)`` on the far side of the service protocol rebuilds
         an equivalent compiled query (``params`` is a tuple of
         ``(name, value)`` pairs so the object stays hashable).
-    ``binds``
-        extra named SQL bind parameters (e.g. ``:dmin``/``:dmax``)
-        merged into the rewritten one-statement plans; exposed as a
-        dict via :attr:`sql_binds`.
     ``inverse_factory``
         builds the subject-swapped compiled query (the classic
         relations resolve inverses by name, which a parameterized
         predicate cannot).
-    ``estimator``
-        optional cost-model hook ``estimator(summary, lower, upper)``
-        returning the expected number of matching stored records for
-        reference ``[lower, upper]``; lets
-        :meth:`~repro.core.costmodel.RITreeCostModel.estimate_query`
-        price parameter selectivity (duration bands) that the
-        name-keyed histogram formulas cannot see.
     """
 
     family_name: str = ""
     params: tuple[tuple[str, int], ...] = ()
-    binds: tuple[tuple[str, int], ...] = ()
     inverse_factory: Optional[Callable[[], "CompiledQuery"]] = None
-    estimator: Optional[Callable[..., float]] = None
-    #: Set when ``candidates`` consults the store's ``floor``/``ceiling``
-    #: data-space extent (like before/after do); backends then resolve
-    #: the extent before calling the transform.
-    needs_extent: bool = False
 
     @property
     def param_dict(self) -> dict[str, int]:
         """The parameter bundle as a dict (service wire format)."""
         return dict(self.params)
-
-    @property
-    def sql_binds(self) -> dict[str, int]:
-        """Extra named bind parameters for the rewritten SQL plans."""
-        return dict(self.binds)
 
     @property
     def inverse(self) -> IntervalPredicate:
@@ -236,11 +243,13 @@ PREDICATES: dict[str, IntervalPredicate] = {
         IntervalPredicate(
             "before",
             lambda s, e, l, u: e < l,
-            _strictly_before, 'i."upper" < :lower', "after"),
+            _strictly_before, 'i."upper" < :lower', "after",
+            needs_extent=True),
         IntervalPredicate(
             "after",
             lambda s, e, l, u: s > u,
-            _strictly_after, 'i."lower" > :upper', "before"),
+            _strictly_after, 'i."lower" > :upper', "before",
+            needs_extent=True),
         IntervalPredicate(
             "meets",
             lambda s, e, l, u: e == l and s < l,
@@ -533,34 +542,3 @@ def resolve_join_predicate(predicate) -> Optional[IntervalPredicate]:
     if pred.name == "intersects":
         return None
     return pred
-
-
-def shim_positional_predicate(legacy, predicate, method: str):
-    """Resolve the deprecated positional ``predicate`` argument.
-
-    The query/join surface is keyword-only for everything past the
-    probe relation (``join_pairs(probes, predicate="before")``); older
-    call sites passed the predicate positionally.  Entry points absorb
-    stray positionals into a ``*legacy`` tuple and route them through
-    this shim, which warns once per call site and returns the effective
-    predicate, so the service layer can dispatch generically on
-    ``predicate=`` while old code keeps working for one deprecation
-    cycle.
-    """
-    if not legacy:
-        return predicate
-    if len(legacy) > 1:
-        raise TypeError(
-            f"{method}() takes one predicate, got {len(legacy)} extra "
-            f"positional arguments")
-    if predicate is not None:
-        raise TypeError(
-            f"{method}() got the predicate both positionally and as "
-            f"predicate=")
-    warnings.warn(
-        f"passing the predicate to {method}() positionally is "
-        f"deprecated; use {method}(..., predicate=...)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return legacy[0]

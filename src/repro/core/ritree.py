@@ -29,10 +29,7 @@ from ..engine.serial import pad_high, pad_low
 from .access import AccessMethod, IntervalRecord
 from .backbone import MAX_ABS_BOUND, VirtualBackbone
 from .interval import validate_interval
-from .predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
+from .predicates import resolve_join_predicate
 from .transient import QueryNodes, collect_query_nodes
 from .verify import VerificationReport, verify_engine_tree
 
@@ -406,7 +403,7 @@ class RITree(AccessMethod):
                 yield entry[2]
 
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """Batched index-nested-loop join probe (overrides the base loop).
 
@@ -415,52 +412,19 @@ class RITree(AccessMethod):
         accounting -- but pairs are emitted per leaf slice in one pass
         instead of going through an intermediate id list per probe.
         ``join_count`` (the count-only analogue) dispatches to the
-        batched :meth:`intersection_count`.
-
-        A join ``predicate`` compiles per probe to the scan plan of the
-        *inverse* relation's candidate range (probing asks the
-        stored-subject question) and refines whole leaf slices of
-        fetched records with the predicate's direct formula -- the
-        frames-per-pair economics of the batched pipeline, extended to
-        every Allen relation.
+        batched :meth:`intersection_count`.  Predicate joins take the
+        base class's candidate-then-refine plan over
+        :meth:`_record_batches`, so they consume the same leaf slices.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
-        pred = resolve_join_predicate(predicate)
+        if resolve_join_predicate(predicate) is not None:
+            return super().join_pairs(probes, predicate=predicate)
         pairs: list[tuple[int, int]] = []
         extend = pairs.extend
-        if pred is None:
-            for lower, upper, probe_id in probes:
-                validate_interval(lower, upper)
-                for batch in self._query_batches(lower, upper):
-                    extend((probe_id, entry[2]) for entry in batch)
-            return pairs
-        inverse = pred.inverse
-        holds = pred.holds
         for lower, upper, probe_id in probes:
             validate_interval(lower, upper)
-            for batch in self._candidate_batches(inverse, lower, upper):
-                extend((probe_id, interval_id)
-                       for s, e, interval_id in batch
-                       if holds(lower, upper, s, e))
+            for batch in self._query_batches(lower, upper):
+                extend((probe_id, entry[2]) for entry in batch)
         return pairs
-
-    def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
-    ) -> int:
-        """Size of :meth:`join_pairs`; predicate counts refine per slice."""
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
-        pred = resolve_join_predicate(predicate)
-        if pred is None:
-            return super().join_count(probes)
-        inverse = pred.inverse
-        holds = pred.holds
-        total = 0
-        for lower, upper, _probe_id in probes:
-            validate_interval(lower, upper)
-            for batch in self._candidate_batches(inverse, lower, upper):
-                total += sum(1 for s, e, _ in batch
-                             if holds(lower, upper, s, e))
-        return total
 
     def _candidate_extent(self) -> tuple[Optional[int], Optional[int]]:
         """``(floor, ceiling)`` for before/after candidate ranges.
@@ -474,26 +438,6 @@ class RITree(AccessMethod):
         if ceiling is not None and self.backbone.offset is not None:
             ceiling = min(ceiling, self.backbone.offset + MAX_ABS_BOUND)
         return floor, ceiling
-
-    def _candidate_batches(
-        self, inverse, lower: int, upper: int
-    ) -> Iterator[list[tuple[int, int, int]]]:
-        """Record batches over the inverse relation's candidate range.
-
-        The candidate range provably contains every stored interval
-        standing in the inverse relation to ``[lower, upper]`` -- and
-        therefore every stored interval the *probe* stands in the direct
-        relation to; the caller refines each slice with the direct
-        formula.
-        """
-        floor = ceiling = None
-        if (inverse.name in ("before", "after")
-                or getattr(inverse, "needs_extent", False)):
-            floor, ceiling = self._candidate_extent()
-        candidate = inverse.candidates(lower, upper, floor, ceiling)
-        if candidate is None:
-            return
-        yield from self._record_batches(candidate[0], candidate[1])
 
     def _record_batches(
         self, lower: int, upper: int
@@ -562,32 +506,21 @@ class RITree(AccessMethod):
                 for _rowid, row in batch]
 
     def _query_relation(self, pred, lower: int, upper: int) -> list[int]:
-        """Predicates and query families compiled to engine scan plans.
+        """The classic relations on the Section 4.5 scan-plan transforms.
 
-        The fifteen classic relations dispatch to the scan-plan
-        transforms of :mod:`repro.core.topology` (O(h) path scans for
-        the bound-equality relations, candidate-range refinement for
-        the rest).  Any other compiled query -- a parameterized family
-        such as ``range_duration`` -- runs its candidate intersection
-        range through the batched Figure 10 scan plan
-        (:meth:`_record_batches`, which on the temporal subclass
-        materializes effective bounds first) and refines each fetched
-        leaf slice with the family's ``holds`` formula.
+        The fifteen classic relations dispatch to
+        :mod:`repro.core.topology` (O(h) path scans for the
+        bound-equality relations, candidate-range refinement for the
+        rest).  Any other compiled query -- a parameterized family such
+        as ``range_duration`` -- takes the base class's plan: its
+        candidate range through :meth:`_record_batches`, refined with
+        ``holds``.
         """
         from . import topology
+
         if pred.name in topology.RELATION_QUERIES:
             return topology.query_relation(self, pred.name, lower, upper)
-        floor = ceiling = None
-        if getattr(pred, "needs_extent", False):
-            floor, ceiling = self._candidate_extent()
-        candidate = pred.candidates(lower, upper, floor, ceiling)
-        if candidate is None:
-            return []
-        holds = pred.holds
-        return [interval_id
-                for batch in self._record_batches(candidate[0], candidate[1])
-                for s, e, interval_id in batch
-                if holds(s, e, lower, upper)]
+        return super()._query_relation(pred, lower, upper)
 
     # ------------------------------------------------------------------
     # verification

@@ -52,11 +52,8 @@ from .access import IntervalRecord, IntervalStore
 from .backbone import VirtualBackbone
 from .costmodel import DEFAULT_BUCKETS, BoundSummary, RITreeCostModel
 from .interval import validate_interval
-from .predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
-from .temporal import UPPER_INF, UPPER_NOW, resolve_clock_argument
+from .predicates import resolve_join_predicate
+from .temporal import UPPER_INF, UPPER_NOW
 from .verify import VerificationReport
 
 
@@ -383,10 +380,8 @@ class ShardedStore(IntervalStore):
         """Current clock value, shared by every shard."""
         return self._now
 
-    def advance_to(self, now: Optional[int] = None, *,
-                   timestamp: Optional[int] = None) -> None:
+    def advance_to(self, now: int) -> None:
         """Move the shared clock forward on every shard."""
-        now = resolve_clock_argument(now, timestamp)
         if now < self._now:
             raise ValueError(
                 f"clock moves forward only: {now} < now={self._now}")
@@ -606,18 +601,21 @@ class ShardedStore(IntervalStore):
         return batches, strips, corrections
 
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """Batched overlap join: one backend probe batch per shard.
 
-        Predicate joins refine the router's ``stored_records`` (which
-        already deduplicates) through the base-class path -- correct on
-        every predicate, at nested-loop cost.
+        Predicate joins fan the unclipped probes out to every shard and
+        strip the pairs of replicas, exactly as :meth:`_query_relation`
+        does for single queries.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         if pred is not None:
-            return super().join_pairs(probes, predicate=pred)
+            pairs = []
+            for t, shard in enumerate(self.shards):
+                got = shard.join_pairs(probes, predicate=pred)
+                pairs.extend(self._strip(got, self._replica_pairs(t, pred, probes)))
+            return pairs
         batches, strips, _ = self._clipped_probes(probes)
         pairs: list[tuple[int, int]] = []
         for shard, batch, strip in zip(self.shards, batches, strips):
@@ -628,13 +626,16 @@ class ShardedStore(IntervalStore):
         return pairs
 
     def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> int:
         """Replication-blind join cardinality (the no-double-count rule)."""
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
         if pred is not None:
-            return len(self.join_pairs(probes, predicate=pred))
+            return sum(
+                shard.join_count(probes, predicate=pred)
+                - sum(self._replica_pairs(t, pred, probes).values())
+                for t, shard in enumerate(self.shards)
+            )
         batches, _, corrections = self._clipped_probes(probes)
         total = 0
         for shard, batch, correction in zip(
@@ -642,6 +643,18 @@ class ShardedStore(IntervalStore):
             if batch:
                 total += shard.join_count(batch) - correction
         return total
+
+    def _replica_pairs(self, t: int, pred, probes) -> Counter:
+        """``(probe_id, replica_id)`` pairs of ``pred`` on shard ``t``'s
+        replicas: full copies, so the shard reports each one the home
+        shard reports too."""
+        holds = pred.holds
+        strip: Counter = Counter()
+        for (s, e, interval_id), n in self._materialized_replicas(t).items():
+            for lower, upper, probe_id in probes:
+                if holds(lower, upper, s, e):
+                    strip[(probe_id, interval_id)] += n
+        return strip
 
     # ------------------------------------------------------------------
     # enumeration / planning

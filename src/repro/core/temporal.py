@@ -42,33 +42,6 @@ UPPER_INF = 2**60
 UPPER_NOW = 2**60 - 1
 
 
-def resolve_clock_argument(now, timestamp):
-    """Shim for the pre-v8 ``advance_to(timestamp=...)`` spelling.
-
-    Every temporal backend spells the clock argument ``now=`` (matching
-    the ``now=`` constructor parameter and the ``now`` property); the
-    old keyword still works behind a :class:`DeprecationWarning`.
-    """
-    if timestamp is not None:
-        if now is not None:
-            raise TypeError(
-                "advance_to() got the clock both as now= and as the "
-                "deprecated timestamp="
-            )
-        import warnings
-
-        warnings.warn(
-            "advance_to(timestamp=...) is deprecated; use "
-            "advance_to(now=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        now = timestamp
-    if now is None:
-        raise TypeError("advance_to() is missing the new clock value")
-    return now
-
-
 class TemporalRITree(RITree):
     """RI-tree managing finite, infinite and now-relative intervals.
 
@@ -140,16 +113,13 @@ class TemporalRITree(RITree):
         """Current clock value used for now-relative semantics."""
         return self._now
 
-    def advance_to(
-        self, now: Optional[int] = None, *, timestamp: Optional[int] = None
-    ) -> None:
+    def advance_to(self, now: int) -> None:
         """Move the clock forward; time never runs backwards.
 
         The tick mutates no relation, but it *is* durable state: the
         effective upper bound of every now-relative interval depends on
         it, so the new clock is logged as a store-metadata record.
         """
-        now = resolve_clock_argument(now, timestamp)
         if now < self._now:
             raise ValueError(f"clock moves forward only: {now} < now={self._now}")
         with self.db.atomic():
@@ -339,8 +309,8 @@ class TemporalRITree(RITree):
         current clock); infinite records keep the ``UPPER_INF`` sentinel,
         which behaves as +infinity under every topological predicate.
         Covers every record-batch consumer at once: the topological
-        queries (``intersection_records``) and the leaf-slice refinement
-        of predicate joins (``join_pairs(..., predicate=...)``).
+        queries (``intersection_records``) and the base class's
+        candidate-then-refine plan (query families, predicate joins).
         """
         now = self._now
         for batch in super()._record_batches(lower, upper):

@@ -23,7 +23,6 @@ from types import MethodType
 from typing import Iterable, Optional, Sequence
 
 from ..core.access import IntervalRecord, IntervalStore
-from ..core.temporal import resolve_clock_argument
 from ..core.verify import VerificationReport
 from .protocol import (
     ProtocolError,
@@ -123,9 +122,8 @@ def _rpc_close_now_interval(self, lower: int, interval_id: int,
     self.call("close_now_interval", lower=lower, interval_id=interval_id, upper=upper)
 
 
-def _rpc_advance_to(self, now: Optional[int] = None, *,
-                    timestamp: Optional[int] = None) -> None:
-    self.call("advance_to", now=resolve_clock_argument(now, timestamp))
+def _rpc_advance_to(self, now: int) -> None:
+    self.call("advance_to", now=now)
 
 
 _TEMPORAL_FORWARDS = {

@@ -48,17 +48,8 @@ from typing import Iterable, Optional, Sequence
 from ..core.access import IntervalRecord, IntervalStore
 from ..core.backbone import VirtualBackbone
 from ..core.interval import validate_interval
-from ..core.predicates import (
-    resolve_join_predicate,
-    shim_positional_predicate,
-)
-from ..core.temporal import (
-    FORK_INF,
-    FORK_NOW,
-    UPPER_INF,
-    UPPER_NOW,
-    resolve_clock_argument,
-)
+from ..core.predicates import resolve_join_predicate
+from ..core.temporal import FORK_INF, FORK_NOW, UPPER_INF, UPPER_NOW
 from ..core.verify import VerificationReport
 from ..engine.retry import RetryPolicy
 from . import schema
@@ -364,10 +355,8 @@ class SQLRITree(IntervalStore):
         """The clock for now-relative semantics."""
         return self._now
 
-    def advance_to(self, now: Optional[int] = None, *,
-                   timestamp: Optional[int] = None) -> None:
+    def advance_to(self, now: int) -> None:
         """Move the clock forward."""
-        now = resolve_clock_argument(now, timestamp)
         if now < self._now:
             raise ValueError("clock moves forward only")
         self._now = now
@@ -593,9 +582,7 @@ class SQLRITree(IntervalStore):
         single-query predicate path.  Returns the total transient row
         count; zero means every probe's result is provably empty.
         """
-        floor = ceiling = None
-        if inverse.name in ("before", "after"):
-            floor, ceiling = self._candidate_extent()
+        floor, ceiling = self._extent_for(inverse)
         probe_rows: list[tuple] = []
         left_rows: list[tuple[int, int, int]] = []
         right_rows: list[tuple[int, int]] = []
@@ -633,7 +620,7 @@ class SQLRITree(IntervalStore):
     # joins (set-at-a-time, Section 5 meets the join subsystem)
     # ------------------------------------------------------------------
     def join_pairs(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> list[tuple[int, int]]:
         """The index-nested-loop interval join as ONE SQL statement.
 
@@ -651,7 +638,6 @@ class SQLRITree(IntervalStore):
         participate with their effective bounds, as in predicate
         queries.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_pairs")
         pred = resolve_join_predicate(predicate)
         if not probes:
             return []
@@ -670,7 +656,7 @@ class SQLRITree(IntervalStore):
             statement = schema.predicate_batch_intersection_sql(
                 self.name, pred.sql_refine
             )
-            binds = {"now": self._now, **getattr(pred, "sql_binds", {})}
+            binds = {"now": self._now, **pred.sql_binds}
             rows = self._batch_cycle(
                 lambda: self._fill_predicate_batch_tables(probes, pred.inverse),
                 lambda: list(self.conn.execute(statement, binds)),
@@ -679,14 +665,13 @@ class SQLRITree(IntervalStore):
         return [(ids[qid], interval_id) for qid, interval_id in rows]
 
     def join_count(
-        self, probes: Sequence[IntervalRecord], *legacy, predicate=None
+        self, probes: Sequence[IntervalRecord], *, predicate=None
     ) -> int:
         """Size of :meth:`join_pairs`, aggregated by the engine.
 
         Identical fill cycle and statement, wrapped in ``COUNT(*)`` --
         the pair list never leaves sqlite.
         """
-        predicate = shim_positional_predicate(legacy, predicate, "join_count")
         pred = resolve_join_predicate(predicate)
         if not probes:
             return 0
@@ -699,7 +684,7 @@ class SQLRITree(IntervalStore):
                 empty=0,
             )
         statement = schema.predicate_batch_count_sql(self.name, pred.sql_refine)
-        binds = {"now": self._now, **getattr(pred, "sql_binds", {})}
+        binds = {"now": self._now, **pred.sql_binds}
         return self._batch_cycle(
             lambda: self._fill_predicate_batch_tables(probes, pred.inverse),
             lambda: self.conn.execute(statement, binds).fetchone()[0],
@@ -721,7 +706,7 @@ class SQLRITree(IntervalStore):
                 statement = schema.predicate_batch_intersection_sql(
                     self.name, pred.sql_refine
                 )
-                params = {"now": self._now, **getattr(pred, "sql_binds", {})}
+                params = {"now": self._now, **pred.sql_binds}
             cursor = self.conn.execute("EXPLAIN QUERY PLAN " + statement, params)
             return [row[-1] for row in cursor]
         finally:
@@ -749,10 +734,7 @@ class SQLRITree(IntervalStore):
         sentinel), exactly as the simulated engine materialises them.
         """
         validate_interval(lower, upper)
-        floor = ceiling = None
-        if (pred.name in ("before", "after")
-                or getattr(pred, "needs_extent", False)):
-            floor, ceiling = self._candidate_extent()
+        floor, ceiling = self._extent_for(pred)
         candidate = pred.candidates(lower, upper, floor, ceiling)
         if candidate is None:
             return []
@@ -769,7 +751,7 @@ class SQLRITree(IntervalStore):
                 "clower": clower,
                 "cupper": cupper,
                 "now": self._now,
-                **getattr(pred, "sql_binds", {}),
+                **pred.sql_binds,
             },
         )
         return [row[0] for row in cursor]
@@ -1048,10 +1030,7 @@ class SQLRITree(IntervalStore):
         if pred.name in ("intersects", "stab"):
             return self.explain_intersection(lower, upper)
         validate_interval(lower, upper)
-        floor = ceiling = None
-        if (pred.name in ("before", "after")
-                or getattr(pred, "needs_extent", False)):
-            floor, ceiling = self._candidate_extent()
+        floor, ceiling = self._extent_for(pred)
         candidate = pred.candidates(lower, upper, floor, ceiling)
         if candidate is None:
             return []
@@ -1067,7 +1046,7 @@ class SQLRITree(IntervalStore):
                 "clower": clower,
                 "cupper": cupper,
                 "now": self._now,
-                **getattr(pred, "sql_binds", {}),
+                **pred.sql_binds,
             },
         )
         return [row[-1] for row in cursor]

@@ -19,6 +19,8 @@ from repro.core import (
     PREDICATES,
     HintStore,
     RITree,
+    TemporalRITree,
+    create_store,
     get_predicate,
 )
 from repro.core.join import SweepJoin, interval_join
@@ -36,6 +38,13 @@ def shared_endpoint_records(rng, count=400, points=80, domain=300):
         length = rng.choice([1, 2, 5, rng.randrange(1, 60)])
         records.append((start, start + length, i))
     return anchors, records
+
+
+def every_backend():
+    """One empty store per backend; the router's cuts sit inside the
+    domain of :func:`shared_endpoint_records`."""
+    sharded = create_store("sharded", backend="hint", cuts=[100, 200])
+    return [RITree(), TemporalRITree(), SQLRITree(), HintStore(), sharded]
 
 
 def test_registry_is_complete():
@@ -133,7 +142,7 @@ def test_matches_and_filter():
 @pytest.mark.parametrize("name", sorted(PREDICATES))
 def test_backends_match_the_oracle(name, rng):
     anchors, records = shared_endpoint_records(rng)
-    backends = [RITree(), SQLRITree(), HintStore()]
+    backends = every_backend()
     for backend in backends:
         backend.bulk_load(records)
     pred = PREDICATES[name]
@@ -247,7 +256,7 @@ def test_store_join_hooks_take_predicates(name, rng):
         for s in inner
         if pred.holds(r[0], r[1], s[0], s[1])
     )
-    for store in (RITree(), SQLRITree(), HintStore()):
+    for store in every_backend():
         store.bulk_load(inner)
         assert sorted(store.join_pairs(probes, predicate=name)) == expected
         assert store.join_count(probes, predicate=name) == len(expected)
@@ -309,38 +318,6 @@ def test_generic_store_predicate_join_refines_enumerated_records(rng):
         )
         assert sorted(store.join_pairs(probes, predicate=name)) == expected
         assert store.join_count(probes, predicate=name) == len(expected)
-
-
-def test_opaque_store_predicate_join_loops_inverse_queries(rng):
-    """Without enumeration, the default loops query() with the inverse."""
-    _anchors, records = shared_endpoint_records(rng, count=140)
-    inner = records[:90]
-    probes = [(s, e, 40_000 + i) for s, e, i in records[90:]]
-    store = _ListStore()
-    store.bulk_load(inner)
-    hidden = store.stored_records()
-
-    queried = []
-
-    class Opaque(type(store)):
-        def stored_records(self):
-            return None
-
-        def _query_relation(self, pred, lower, upper):
-            queried.append(pred.name)
-            return pred.filter(hidden, lower, upper)
-
-    opaque = Opaque()
-    opaque.bulk_load(inner)
-    # Proper intervals only here: the inverse-query path is exact on them.
-    pairs = opaque.join_pairs(probes, predicate="before")
-    expected = sorted(
-        (r[2], s[2]) for r in probes for s in inner if r[1] < s[0]
-    )
-    assert sorted(pairs) == expected
-    # The store was probed with the INVERSE relation (stored-subject).
-    assert set(queried) == {"after"}
-    assert opaque.join_count(probes, predicate="before") == len(expected)
 
 
 @pytest.mark.parametrize(

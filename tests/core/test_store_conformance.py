@@ -261,6 +261,10 @@ def test_empty_store(store):
     assert store.intersection_many([(0, 10), (5, 20)]) == [[], []]
     assert store.join_pairs([(0, 10, 1)]) == []
     assert store.join_count([(0, 10, 1)]) == 0
+    for name in ("before", "after"):
+        assert store.query(0, 10, predicate=name) == []
+        assert store.join_pairs([(0, 10, 1)], predicate=name) == []
+        assert store.join_count([(0, 10, 1)], predicate=name) == 0
     assert store.interval_count == 0
     assert store.redundancy == 0.0
 

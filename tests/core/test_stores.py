@@ -1,4 +1,6 @@
-"""The store factory/registry and the keyword-only signature shims."""
+"""The store factory/registry and the keyword-only store signatures."""
+
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,9 +13,11 @@ from repro.core import (
     available_backends,
     create_store,
 )
+from repro.core.join import interval_join
 from repro.core.stores import backend_description, register_backend
 from repro.bench.harness import run_join_batch
-from repro.engine import Database
+
+from ..service.test_service import remote
 
 
 def test_registry_lists_every_builtin_backend():
@@ -103,52 +107,36 @@ def test_run_join_batch_forwards_store_opts():
 
 
 # ----------------------------------------------------------------------
-# keyword-only signatures with one-cycle positional shims
+# keyword-only signatures: the pre-v8 positional spellings are gone
 # ----------------------------------------------------------------------
-def loaded(name="hint", **opts):
-    store = create_store(name, **opts)
+@contextmanager
+def loaded_store(name):
+    """A store holding ``make_records()``; "remote" serves a HINT store."""
+    store = create_store("hint" if name == "remote" else name)
     store.bulk_load(make_records())
-    return store
+    if name != "remote":
+        yield store
+        return
+    with remote(store) as proxy:
+        yield proxy
 
 
-def test_query_predicate_is_keyword_only_with_shim():
-    store = loaded()
-    expected = store.query(100, 200, predicate="during")
-    # The pre-v8 predicate-first form warns once and still answers.
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        assert store.query("during", 100, 200) == expected
-    # A trailing positional predicate was never valid and stays a
-    # TypeError pointing at the keyword spelling.
-    with pytest.raises(TypeError, match="predicate as predicate="):
-        store.query(100, 200, "during")
-
-
-def test_join_predicate_is_keyword_only_with_shim():
-    store = loaded()
+@pytest.mark.parametrize("name", available_backends() + ["remote"])
+def test_removed_positional_spellings_raise_type_error(name):
     probes = [(100, 200, 7)]
-    expected = store.join_pairs(probes, predicate="overlaps")
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        assert store.join_pairs(probes, "overlaps") == expected
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        assert store.join_count(probes, "overlaps") == len(expected)
-
-
-def test_shim_rejects_doubled_predicates():
-    store = loaded()
-    with pytest.raises(TypeError, match="both positionally"):
-        store.query("during", 1, 2, predicate="during")
-    with pytest.raises(TypeError, match="both positionally"):
-        store.join_pairs([(1, 2, 3)], "during", predicate="overlaps")
-    with pytest.raises(TypeError, match="extra positional"):
-        store.join_count([(1, 2, 3)], "during", "overlaps")
-
-
-def test_advance_to_timestamp_alias_still_works():
-    store = create_store("temporal-ritree", db=Database())
-    with pytest.warns(DeprecationWarning, match="timestamp"):
-        store.advance_to(timestamp=40)
-    assert store.now == 40
-    store.advance_to(now=50)
-    assert store.now == 50
-    with pytest.raises(TypeError, match="both"):
-        store.advance_to(60, timestamp=70)
+    with loaded_store(name) as store:
+        assert store.query(100, 200, predicate="during")
+        with pytest.raises(TypeError):
+            store.query("during", 100, 200)
+        with pytest.raises(TypeError):
+            store.query("during", 100)
+        with pytest.raises(TypeError):
+            store.join_pairs(probes, "overlaps")
+        with pytest.raises(TypeError):
+            store.join_count(probes, "overlaps")
+        with pytest.raises(TypeError):
+            interval_join(make_records(), probes, "index")
+        if hasattr(store, "advance_to"):
+            with pytest.raises(TypeError):
+                store.advance_to(timestamp=40)
+            store.advance_to(now=40)
